@@ -95,7 +95,10 @@ def _parse_direction(text: str) -> Direction:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"direction must be 'dx,dy', got {text!r}")
-    return Direction(parse_scalar(parts[0]), parse_scalar(parts[1]))
+    try:
+        return Direction(parse_scalar(parts[0]), parse_scalar(parts[1]))
+    except ValueError as exc:
+        raise ParseError(f"bad direction {text!r}: {exc}") from None
 
 
 def _fmt_dir(s: Direction) -> str:
@@ -225,8 +228,8 @@ def _cmd_render(args) -> int:
 
 def _bench_graph(n: int, seed: int) -> PlaneGraph:
     """Isolated vertices on a strictly convex curve: distinct coordinates
-    and no collinear triple by construction, so no O(n^3) validation is
-    needed at benchmark sizes."""
+    and no collinear triple by construction, so the benchmark times the
+    curves and matching alone, without validation."""
     import random
 
     order = list(range(n))

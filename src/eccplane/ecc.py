@@ -194,7 +194,10 @@ def parse_ecc(text: str) -> tuple[Direction, StepFunction]:
             if parts[:1] == ["direction"]:
                 if len(parts) != 3:
                     raise ParseError(f"bad direction header {line!r}")
-                direction = Direction(parse_scalar(parts[1]), parse_scalar(parts[2]))
+                try:
+                    direction = Direction(parse_scalar(parts[1]), parse_scalar(parts[2]))
+                except ValueError as exc:
+                    raise ParseError(f"bad direction header {line!r}: {exc}") from None
             continue
         parts = line.split()
         if len(parts) != 2:

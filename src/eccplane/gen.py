@@ -10,12 +10,13 @@ followed by seeded random deletions.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExhaustedRejectsError
-from .geom import PlaneGraph, Point, Scalar
+from .geom import PlaneGraph, Point, Scalar, _line_class
 
 DEFAULT_DENOMINATOR = 2**20
 
@@ -51,13 +52,10 @@ def _sample_points(cfg: GenConfig, rng: random.Random) -> list[tuple[int, int]]:
         x, y = rng.randint(0, d), rng.randint(0, d)
         ok = x not in seen_x and y not in seen_y
         if ok:
-            for i in range(len(points)):
-                for j in range(i + 1, len(points)):
-                    if _cross(points[i], points[j], (x, y)) == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
+            # Accepted points have distinct x, so every offset is nonzero and
+            # two share a line class iff they are collinear with (x, y).
+            lines = {_line_class(px - x, py - y) for px, py in points}
+            ok = len(lines) == len(points)
         if not ok:
             rejects += 1
             if rejects > cfg.max_rejects:
@@ -108,14 +106,6 @@ def _triangulate(points: list[tuple[int, int]]) -> set[tuple[int, int]]:
     return edges
 
 
-def _degrees(n: int, edges: set[tuple[int, int]]) -> list[int]:
-    deg = [0] * n
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
-
-
 def _clear_degree_two(
     n: int, edges: set[tuple[int, int]], rng: random.Random
 ) -> None:
@@ -123,22 +113,28 @@ def _clear_degree_two(
 
     Removing an edge strictly shrinks the edge set, so this terminates; an
     edge whose far endpoint would drop to degree 2 is avoided when any
-    alternative exists.
+    alternative exists.  The lowest-numbered degree-2 vertex goes first.
     """
-    deg = _degrees(n, edges)
-    while True:
-        bad = [v for v in range(n) if deg[v] == 2]
-        if not bad:
-            return
-        v = bad[0]
-        incident = sorted(e for e in edges if v in e)
-        safe = [
-            e for e in incident if deg[e[0] + e[1] - v] != 3
-        ]
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    # Degrees only fall, so a vertex leaves degree 2 for good; entries that
+    # did are skipped when popped.
+    pending = [v for v in range(n) if len(adj[v]) == 2]
+    while pending:
+        v = heapq.heappop(pending)
+        if len(adj[v]) != 2:
+            continue
+        incident = sorted((v, u) if v < u else (u, v) for u in adj[v])
+        safe = [e for e in incident if len(adj[e[0] + e[1] - v]) != 3]
         i, j = rng.choice(safe or incident)
         edges.remove((i, j))
-        deg[i] -= 1
-        deg[j] -= 1
+        adj[i].remove(j)
+        adj[j].remove(i)
+        for u in (i, j):
+            if len(adj[u]) == 2:
+                heapq.heappush(pending, u)
 
 
 def generate(cfg: GenConfig) -> PlaneGraph:
@@ -154,20 +150,25 @@ def generate(cfg: GenConfig) -> PlaneGraph:
     edges = _triangulate(raw)
     if cfg.forbid_deg2:
         _clear_degree_two(cfg.n, edges, rng)
+    edges = sorted(edges)
     deletions = rng.randint(0, len(edges)) if edges else 0
-    deg = _degrees(cfg.n, edges)
+    deg = [0] * cfg.n
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
     for _ in range(deletions):
         if not edges:
             break
-        i, j = sorted(edges)[rng.randrange(len(edges))]
+        k = rng.randrange(len(edges))
+        i, j = edges[k]
         if cfg.forbid_deg2 and (deg[i] == 3 or deg[j] == 3):
             continue
-        edges.remove((i, j))
+        del edges[k]
         deg[i] -= 1
         deg[j] -= 1
     d = cfg.coord_denominator
     vertices = [Point(Fraction(x, d), Fraction(y, d)) for x, y in raw]
-    return PlaneGraph(vertices, sorted(edges))
+    return PlaneGraph(vertices, edges)
 
 
 def _gadget(coords, edges) -> PlaneGraph:

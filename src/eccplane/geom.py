@@ -1,16 +1,25 @@
 """Exact plane geometry: rational scalars, points, direction rays, and
 straight-line graph validation.
 
-Every quantity in this package is an exact rational number
-(:class:`fractions.Fraction`); there is no floating-point fallback and no
-epsilon anywhere.  Directions are rays with rational components rather than
-unit vectors: every predicate downstream depends only on the ordering of
-heights, which is invariant under positive rescaling, so normalizing to unit
-length would only introduce irrationality.
+Every quantity at the API and in the file formats is an exact rational
+number (:class:`fractions.Fraction`); there is no floating-point fallback
+and no epsilon anywhere.  Directions are rays with rational components
+rather than unit vectors: every predicate downstream depends only on the
+ordering of heights, which is invariant under positive rescaling, so
+normalizing to unit length would only introduce irrationality.
+
+The validators run on an integer lattice instead: order, sign and
+concurrence all survive a positive uniform rescale, so a graph's
+coordinates are multiplied once by the lcm of their denominators and every
+predicate is then a Python-int sign test.  Collinear triples are found by
+hashing reduced direction vectors per anchor (quadratic, the right target
+for a 3SUM-hard problem) and candidate edge crossings are pruned by an
+x-sorted sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,12 +28,37 @@ from .errors import ParseError
 
 Scalar = Fraction
 
+# Longest number token accepted, and largest decimal exponent magnitude.
+# Both bound the digits a token can expand to, so parsing and the lattice
+# scale of the validators stay bounded per input byte ("1e10000000" would
+# otherwise build a ten-million-digit integer).
+_MAX_SCALAR_CHARS = 4096
+_MAX_SCALAR_EXPONENT = 4096
+
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a number token: integer, decimal ("1.25"), or ratio ("5/4").
+    """Parse a number token: integer, decimal ("1.25", "-3e-2"), or ratio
+    ("5/4").
 
-    All three forms convert exactly; decimals never round.
+    All three forms convert exactly; decimals never round.  Tokens longer
+    than 4096 characters or with a decimal exponent beyond ±4096 are
+    refused.
     """
+    if len(text) > _MAX_SCALAR_CHARS:
+        raise ParseError(
+            f"number token of {len(text)} characters exceeds {_MAX_SCALAR_CHARS}"
+        )
+    if "e" in text or "E" in text:
+        mark = max(text.rfind("e"), text.rfind("E"))
+        try:
+            exponent = int(text[mark + 1 :])
+        except ValueError:
+            exponent = 0  # not an exponent; Fraction decides below
+        if abs(exponent) > _MAX_SCALAR_EXPONENT:
+            raise ParseError(
+                f"bad number {text[:40]!r}: exponent beyond "
+                f"±{_MAX_SCALAR_EXPONENT}"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -217,71 +251,137 @@ class Violation:
         return f"{self.kind}: vertices {list(self.vertices)}"
 
 
+def _lattice(g: PlaneGraph) -> list[tuple[int, int]]:
+    """The vertices scaled by the lcm of all coordinate denominators: the
+    same configuration on integer coordinates, in vertex order."""
+    pts = g.vertices
+    scale = lcm(*(p.x.denominator for p in pts), *(p.y.denominator for p in pts))
+    return [
+        (p.x.numerator * (scale // p.x.denominator),
+         p.y.numerator * (scale // p.y.denominator))
+        for p in pts
+    ]
+
+
+def _line_class(dx: int, dy: int) -> tuple[int, int]:
+    """Coprime, sign-normalised representative of the nonzero integer vector
+    (dx, dy): two vectors share it iff they are parallel."""
+    k = gcd(dx, dy)
+    dx //= k
+    dy //= k
+    if dx < 0 or (dx == 0 and dy < 0):
+        return -dx, -dy
+    return dx, dy
+
+
 def validate_general_position(g: PlaneGraph) -> list[Violation]:
     """Check distinct x-coordinates, distinct y-coordinates, and the absence
-    of collinear vertex triples.  Returns an empty list iff all hold."""
+    of collinear vertex triples.  Returns an empty list iff all hold.
+
+    Collinear triples (i, j, k) are listed with i < j < k in lexicographic
+    order; a vertex coinciding with another is collinear with every third.
+    """
     out: list[Violation] = []
-    by_x: dict[Fraction, list[int]] = {}
-    by_y: dict[Fraction, list[int]] = {}
-    for i, p in enumerate(g.vertices):
-        by_x.setdefault(p.x, []).append(i)
-        by_y.setdefault(p.y, []).append(i)
+    pts = _lattice(g)
+    by_x: dict[int, list[int]] = {}
+    by_y: dict[int, list[int]] = {}
+    for i, (x, y) in enumerate(pts):
+        by_x.setdefault(x, []).append(i)
+        by_y.setdefault(y, []).append(i)
     for group in by_x.values():
         if len(group) > 1:
             out.append(Violation("duplicate-x", tuple(group)))
     for group in by_y.values():
         if len(group) > 1:
             out.append(Violation("duplicate-y", tuple(group)))
-    pts = g.vertices
     n = len(pts)
     for i in range(n):
+        xi, yi = pts[i]
+        # Points j > i on one line through the anchor share a class.
+        lines: dict[tuple[int, int], list[int]] = {}
+        coincident: list[int] = []
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(pts[i], pts[j], pts[k]) == 0:
-                    out.append(Violation("collinear", (i, j, k)))
+            dx = pts[j][0] - xi
+            dy = pts[j][1] - yi
+            if dx == 0 and dy == 0:
+                coincident.append(j)
+            else:
+                lines.setdefault(_line_class(dx, dy), []).append(j)
+        if len(lines) == n - 1 - i:
+            continue
+        pairs = [
+            (j, k) for line in lines.values() for a, j in enumerate(line) for k in line[a + 1 :]
+        ]
+        if coincident:
+            on_anchor = set(coincident)
+            pairs += [(j, k) for j in coincident for k in range(j + 1, n)]
+            pairs += [
+                (j, k) for k in coincident for j in range(i + 1, k) if j not in on_anchor
+            ]
+        pairs.sort()
+        out.extend(Violation("collinear", (i, j, k)) for j, k in pairs)
     return out
-
-
-def _open_segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    # Proper crossing only; touching configurations are impossible here
-    # because endpoint-on-segment would be a collinear vertex triple.
-    o1 = orientation(a1, a2, b1)
-    o2 = orientation(a1, a2, b2)
-    o3 = orientation(b1, b2, a1)
-    o4 = orientation(b1, b2, a2)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def _point_on_open_segment(p: Point, a: Point, b: Point) -> bool:
-    if orientation(a, b, p) != 0:
-        return False
-    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-    return lo_x < p.x < hi_x or lo_y < p.y < hi_y
 
 
 def validate_planarity(g: PlaneGraph) -> list[Violation]:
     """Check that open edge segments neither cross each other nor contain a
     vertex.  Assumes general position already holds; all tests are exact
-    sign-of-determinant predicates."""
-    out: list[Violation] = []
-    pts = g.vertices
+    integer sign-of-determinant predicates.
+
+    Crossings are listed by edge index pair, then vertices on edges by
+    vertex and edge index.
+    """
+    pts = _lattice(g)
     edges = g.edges
-    m = len(edges)
-    for a in range(m):
+    boxes = []
+    for e, (i, j) in enumerate(edges):
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), e))
+    # A proper crossing lies inside both segments' boxes, so sweeping edges
+    # by left end only pairs whose x-ranges overlap need a test.
+    boxes.sort()
+    crossings = []
+    for p, (_, x_hi, y_lo, y_hi, a) in enumerate(boxes):
         i1, j1 = edges[a]
-        for b in range(a + 1, m):
+        (ax, ay), (bx, by) = pts[i1], pts[j1]
+        for q in range(p + 1, len(boxes)):
+            x_lo2, _, y_lo2, y_hi2, b = boxes[q]
+            if x_lo2 > x_hi:
+                break
+            if y_lo2 > y_hi or y_hi2 < y_lo:
+                continue
             i2, j2 = edges[b]
-            if i1 in (i2, j2) or j1 in (i2, j2):
+            if i2 == i1 or i2 == j1 or j2 == i1 or j2 == j1:
                 continue
-            if _open_segments_cross(pts[i1], pts[j1], pts[i2], pts[j2]):
-                out.append(Violation("crossing", (i1, j1, i2, j2)))
-    for v in range(len(pts)):
-        for i, j in edges:
-            if v in (i, j):
+            (cx, cy), (dx, dy) = pts[i2], pts[j2]
+            o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+            if o1 * o2 >= 0:
                 continue
-            if _point_on_open_segment(pts[v], pts[i], pts[j]):
-                out.append(Violation("vertex-on-edge", (v, i, j)))
+            o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+            o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+            if o3 * o4 < 0:
+                crossings.append((a, b) if a < b else (b, a))
+    crossings.sort()
+    out = [Violation("crossing", edges[a] + edges[b]) for a, b in crossings]
+
+    by_x = sorted(range(len(pts)), key=lambda v: pts[v][0])
+    xs = [pts[v][0] for v in by_x]
+    on_edge = []
+    for x_lo, x_hi, y_lo, y_hi, e in boxes:
+        i, j = edges[e]
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        for v in by_x[bisect_left(xs, x_lo) : bisect_right(xs, x_hi)]:
+            px, py = pts[v]
+            if (
+                v != i
+                and v != j
+                and (x_lo < px < x_hi or y_lo < py < y_hi)
+                and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+            ):
+                on_edge.append((v, e))
+    on_edge.sort()
+    out.extend(Violation("vertex-on-edge", (v,) + edges[e]) for v, e in on_edge)
     return out
 
 

@@ -226,6 +226,19 @@ class TestErrorCodes:
         assert main(["ecc", "-g", "/nonexistent/g.txt", "--dir", "0,1"]) == 1
         assert capsys.readouterr().err.startswith("PARSE: ")
 
+    def test_zero_direction(self, tmp_path, graph_file, capsys):
+        gpath = graph_file(generate(GenConfig(n=4, seed=2)))
+        curve = tmp_path / "zero.ecc"
+        curve.write_text("# direction 0 0\n0 1\n")
+        for argv in (
+            ["ecc", "-g", gpath, "--dir=0,0"],
+            ["render", "-g", gpath, "--lines", "0,0"],
+            ["reconstruct", "--ecc", *[str(curve)] * 6],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("PARSE: "), (argv, err)
+
 
 def _fmt(q):
     q = Fraction(q)

@@ -1,5 +1,6 @@
 """Seeded graph generation and the hand-built gadgets."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from eccplane.gen import (
 )
 from eccplane.geom import (
     Point,
+    format_graph,
     validate_general_position,
     validate_planarity,
 )
@@ -73,6 +75,21 @@ class TestGenerate:
             assert 0 <= p.x <= 1 and 0 <= p.y <= 1
             assert 64 % p.x.denominator == 0
             assert 64 % p.y.denominator == 0
+
+    def test_seed_to_graph_mapping_is_pinned(self):
+        # Benchmark inputs and the acceptance corpora are generator output,
+        # so the bytes for a seed must never drift.
+        parts = [
+            format_graph(generate(GenConfig(n=n, seed=s, forbid_deg2=f)))
+            for n in (3, 12, 40, 120)
+            for s in range(12)
+            for f in (False, True)
+        ]
+        with pytest.raises(ExhaustedRejectsError) as info:
+            generate(GenConfig(n=30, seed=1, coord_denominator=8, max_rejects=50))
+        parts.append(str(info.value))
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == "16b78b0810e55fea96301d6fc7f25e4f2980aa51786f1247c9c4a37fedc69790"
 
     def test_coarse_grid_exhausts(self):
         with pytest.raises(ExhaustedRejectsError) as info:

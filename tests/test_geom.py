@@ -1,9 +1,11 @@
 """Exact scalar parsing, ray algebra, and plane-graph validation."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccplane.errors import ParseError
@@ -27,6 +29,8 @@ from eccplane.geom import (
     validate_planarity,
 )
 
+from helpers import brute_general_position, brute_planarity
+
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )
@@ -49,6 +53,21 @@ class TestScalars:
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+    def test_parse_keeps_exponent_forms_exact(self):
+        assert parse_scalar("1.25") == Fraction(5, 4)
+        assert parse_scalar("5/4") == Fraction(5, 4)
+        assert parse_scalar("-3e-2") == Fraction(-3, 100)
+        assert parse_scalar("2E+3") == 2000
+
+    @pytest.mark.parametrize(
+        "bad", ["1e10000000", "-7E-99999999", "1" * 5000, "1/" + "3" * 5000]
+    )
+    def test_parse_refuses_huge_tokens_fast(self, bad):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+        assert time.perf_counter() - start < 0.05
 
     def test_format(self):
         assert format_scalar(Fraction(5, 4)) == "5/4"
@@ -191,12 +210,44 @@ class TestPlaneGraph:
         g = PlaneGraph([(0, 0), (1, 2), (2, 1)], [(0, 1), (0, 2), (1, 2)])
         assert validate_planarity(g) == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validators_match_brute_force(self, data):
+        # Coordinates a/d with |a| <= 3 and d in 1..3: collinear triples,
+        # coincident points, shared coordinates and touching edges are common.
+        coord = st.builds(
+            Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])
+        )
+        points = data.draw(st.lists(st.tuples(coord, coord), max_size=9))
+        n = len(points)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+        )
+        _assert_validators_match_brute_force(PlaneGraph(points, edges))
+
+    def test_validators_match_brute_force_on_a_dense_grid(self):
+        # All 25 points of a 5x5 grid, shuffled, with 40 random edges: many
+        # collinear triples, shared coordinates, crossings and on-edge vertices.
+        rng = random.Random(5)
+        points = [(Fraction(x, 2) - 1, y - 2) for x in range(5) for y in range(5)]
+        rng.shuffle(points)
+        edges = rng.sample([(i, j) for i in range(25) for j in range(i + 1, 25)], 40)
+        _assert_validators_match_brute_force(PlaneGraph(points, edges))
+
     def test_planarity_vertex_on_edge(self):
         # Needs a collinear triple, so general position would already be
         # violated; planarity still reports it independently.
         g = PlaneGraph([(0, 0), (4, 4), (2, 2)], [(0, 1)])
         kinds = [v.kind for v in validate_planarity(g)]
         assert kinds == ["vertex-on-edge"]
+
+
+def _assert_validators_match_brute_force(g):
+    got = [(v.kind, v.vertices) for v in validate_general_position(g)]
+    assert got == brute_general_position(g)
+    got = [(v.kind, v.vertices) for v in validate_planarity(g)]
+    assert got == brute_planarity(g)
 
 
 class TestGraphFormat:
